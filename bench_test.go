@@ -20,6 +20,7 @@ import (
 	"ntgd/internal/core"
 	"ntgd/internal/efwfs"
 	"ntgd/internal/encodings"
+	"ntgd/internal/engine"
 	"ntgd/internal/lp"
 	"ntgd/internal/qbf"
 	"ntgd/internal/transform"
@@ -56,9 +57,13 @@ func BenchmarkE1LPPipeline(b *testing.B) {
 	q := prog.Queries[0]
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		ok, err := lp.CautiousEntails(db, prog.Rules, q, lp.Options{})
-		if err != nil || !ok {
-			b.Fatalf("unexpected verdict: %v err=%v", ok, err)
+		c, err := lp.Compile(db, prog.Rules, lp.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		res, err := engine.CautiousEntails(context.Background(), c, engine.Params{}, q)
+		if err != nil || !res.Entailed {
+			b.Fatalf("unexpected verdict: %v err=%v", res.Entailed, err)
 		}
 	}
 }
@@ -71,7 +76,11 @@ func BenchmarkE2Operational(b *testing.B) {
 	q := prog.Queries[0]
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res, err := baget.CautiousEntails(db, prog.Rules, q, core.Options{})
+		c, err := baget.Compile(db, prog.Rules, core.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		res, err := engine.CautiousEntails(context.Background(), c, engine.Params{}, q)
 		if err != nil || !res.Entailed {
 			b.Fatalf("unexpected verdict: %v err=%v", res.Entailed, err)
 		}
@@ -150,7 +159,7 @@ a(X), not p(X) -> q(X).
 	db := prog.Database()
 	b.Run("lp", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := lp.StableModels(db, prog.Rules, lp.Options{}); err != nil {
+			if _, err := lpModels(db, prog.Rules); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -162,6 +171,16 @@ a(X), not p(X) -> q(X).
 			}
 		}
 	})
+}
+
+// lpModels runs the LP pipeline once: Skolemize and ground (lp.Compile),
+// then enumerate every stable model.
+func lpModels(db *ntgd.FactStore, rules []*ntgd.Rule) (*engine.Result, error) {
+	c, err := lp.Compile(db, rules, lp.Options{})
+	if err != nil {
+		return nil, err
+	}
+	return engine.CollectModels(context.Background(), c, engine.Params{}, 0)
 }
 
 // BenchmarkE7DataScaling: query answering under WATGD¬ as the
@@ -418,7 +437,7 @@ func BenchmarkE15ExpressivenessGap(b *testing.B) {
 	})
 	b.Run("lp", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			res, err := lp.StableModels(db, prog.Rules, lp.Options{})
+			res, err := lpModels(db, prog.Rules)
 			if err != nil || len(res.Models) != 1 {
 				b.Fatalf("want 1 model, got %d err=%v", len(res.Models), err)
 			}
@@ -451,7 +470,7 @@ func BenchmarkE16IndexedChaseScale(b *testing.B) {
 
 // BenchmarkSolverReuse pins the compile-once amortization of the
 // Solver session API: N enumerations on one compiled Solver versus N
-// one-shot StableModels calls (each of which re-validates,
+// one-shot Compile + Collect runs (each of which re-validates,
 // re-classifies, re-derives the chase budget, and recompiles the
 // search metadata).
 func BenchmarkSolverReuse(b *testing.B) {
@@ -495,7 +514,11 @@ func BenchmarkSolverReuse(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			for r := 0; r < runs; r++ {
-				res, err := ntgd.StableModels(prog, opt)
+				s, err := ntgd.Compile(prog, ntgd.CompileOptions{Options: opt})
+				if err != nil {
+					b.Fatal(err)
+				}
+				res, err := s.Collect(context.Background(), 0)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -41,6 +41,7 @@ import (
 
 	"ntgd"
 	"ntgd/internal/server"
+	"ntgd/ntgdapi"
 )
 
 //go:embed experiments.json
@@ -51,20 +52,20 @@ type gridFile struct {
 }
 
 type experiment struct {
-	Name        string             `json:"name"`
-	Kind        string             `json:"kind"` // solve | entails | answers | consistent | batch
-	Program     string             `json:"program,omitempty"`
-	ProgramFile string             `json:"program_file,omitempty"`
-	Semantics   string             `json:"semantics,omitempty"`
-	Query       string             `json:"query,omitempty"`
-	Mode        string             `json:"mode,omitempty"`
-	MaxModels   int                `json:"max_models,omitempty"`
-	TimeoutMS   int64              `json:"timeout_ms,omitempty"`
-	Batch       []server.BatchItem `json:"batch,omitempty"`
-	Concurrency []int              `json:"concurrency"`
-	Requests    int                `json:"requests"`
-	Warmup      int                `json:"warmup"`
-	Repeats     int                `json:"repeats,omitempty"`
+	Name        string              `json:"name"`
+	Kind        string              `json:"kind"` // solve | entails | answers | consistent | batch
+	Program     string              `json:"program,omitempty"`
+	ProgramFile string              `json:"program_file,omitempty"`
+	Semantics   string              `json:"semantics,omitempty"`
+	Query       string              `json:"query,omitempty"`
+	Mode        string              `json:"mode,omitempty"`
+	MaxModels   int                 `json:"max_models,omitempty"`
+	TimeoutMS   int64               `json:"timeout_ms,omitempty"`
+	Batch       []ntgdapi.BatchItem `json:"batch,omitempty"`
+	Concurrency []int               `json:"concurrency"`
+	Requests    int                 `json:"requests"`
+	Warmup      int                 `json:"warmup"`
+	Repeats     int                 `json:"repeats,omitempty"`
 }
 
 // point is the measured outcome of one (experiment, concurrency) cell.
@@ -190,7 +191,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 // requestBody builds the JSON body an experiment POSTs on every
 // request, and resolves which endpoint it targets.
 func requestBody(e experiment) ([]byte, error) {
-	req := server.Request{
+	req := ntgdapi.Request{
 		Program:   e.Program,
 		Semantics: e.Semantics,
 		Query:     e.Query,
@@ -219,8 +220,8 @@ func requestBody(e experiment) ([]byte, error) {
 
 // respStats is the subset of every success body the bench aggregates.
 type respStats struct {
-	Count int          `json:"count"`
-	Stats server.Stats `json:"stats"`
+	Count int           `json:"count"`
+	Stats ntgdapi.Stats `json:"stats"`
 }
 
 // runPoint measures one (experiment, concurrency) cell: warmup

@@ -44,6 +44,7 @@ import (
 
 	"ntgd"
 	"ntgd/internal/server"
+	"ntgd/ntgdapi"
 	"ntgd/ntgdclient"
 )
 
@@ -196,7 +197,7 @@ func runOverload(stdout, stderr io.Writer, slots int, duration time.Duration) in
 // closed-loop workers hammer it for a fixed window after warmup, so
 // the number already reflects HTTP overhead and real CPU contention.
 func calibrate(c *ntgdclient.Client, prog string, slots int) (float64, error) {
-	req := ntgdclient.Request{Program: prog, TimeoutMS: 30_000}
+	req := ntgdapi.Request{Program: prog, TimeoutMS: 30_000}
 	for i := 0; i < 2; i++ {
 		if _, err := c.Solve(context.Background(), req); err != nil {
 			return 0, err
@@ -254,7 +255,7 @@ func drive(c *ntgdclient.Client, prog string, rate float64, deadline, duration t
 	if total < 1 {
 		total = 1
 	}
-	req := ntgdclient.Request{Program: prog, TimeoutMS: deadline.Milliseconds()}
+	req := ntgdapi.Request{Program: prog, TimeoutMS: deadline.Milliseconds()}
 
 	var (
 		wg        sync.WaitGroup

@@ -81,12 +81,6 @@
 // extension (the query's constants, Example 2's bob) is handled
 // automatically by Entails and Answers.
 //
-// The package-level one-shot functions (StableModels, Entails,
-// Answers, and their ...Under variants) are retained as deprecated
-// wrappers: each compiles a throwaway Solver per call and delegates,
-// so existing callers keep working but pay the compile cost every
-// time.
-//
 // # Robustness
 //
 // A Solver is built for long-lived concurrent hosts. It is safe for
@@ -177,6 +171,15 @@
 // recording in BENCH_*.json that shedding preserves goodput where
 // parking collapses; see examples/ntgdclient for a runnable
 // quickstart.
+//
+// # Wire API
+//
+// The ntgdapi package is the one /v1 contract that ntgdd and
+// ntgdclient share: the Request body, every response and error body,
+// the Class* taxonomy names, and Stats. Each type is declared once
+// there, and ntgd.Stats is ntgdapi.Stats, so a run's effort goes onto
+// the wire unconverted. ntgdapi and ntgdclient import only the
+// standard library.
 //
 // # Storage
 //

@@ -5,7 +5,7 @@
 // a standalone daemon the same client is just:
 //
 //	c := ntgdclient.New("http://127.0.0.1:8377")
-//	res, err := c.Solve(ctx, ntgdclient.Request{Program: "..."})
+//	res, err := c.Solve(ctx, ntgdapi.Request{Program: "..."})
 package main
 
 import (
@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"ntgd/internal/server"
+	"ntgd/ntgdapi"
 	"ntgd/ntgdclient"
 )
 
@@ -44,7 +45,7 @@ func main() {
 
 	// 1. A plain call: client and daemon agree on the wire types.
 	c := ntgdclient.New(base)
-	solve, err := c.Solve(ctx, ntgdclient.Request{Program: program})
+	solve, err := c.Solve(ctx, ntgdapi.Request{Program: program})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -63,7 +64,7 @@ func main() {
 		// One attempt: a hopeless request should not be retried into
 		// the daemon over and over.
 		c := ntgdclient.New(base, ntgdclient.WithRetryPolicy(ntgdclient.RetryPolicy{MaxAttempts: 1}))
-		_, err := c.Entails(ctx, ntgdclient.Request{
+		_, err := c.Entails(ctx, ntgdapi.Request{
 			Program: big, Query: "?- item(i0).", Mode: "cautious", TimeoutMS: 800,
 		})
 		slow <- err
@@ -72,7 +73,7 @@ func main() {
 
 	// ...so a one-attempt client is refused on the spot:
 	once := ntgdclient.New(base, ntgdclient.WithRetryPolicy(ntgdclient.RetryPolicy{MaxAttempts: 1}))
-	_, err = once.Entails(ctx, ntgdclient.Request{Program: program, Query: "?- in(i0).", Mode: "brave"})
+	_, err = once.Entails(ctx, ntgdapi.Request{Program: program, Query: "?- in(i0).", Mode: "brave"})
 	if ae, ok := ntgdclient.AsAPIError(err); ok {
 		fmt.Printf("no retries: %d/%s, server says retry in %s\n",
 			ae.Status, ae.Class, ae.RetryAfter)
@@ -89,7 +90,7 @@ func main() {
 		BaseBackoff: 200 * time.Millisecond,
 		Budget:      10 * time.Second,
 	}))
-	ent, err := retrying.Entails(ctx, ntgdclient.Request{Program: program, Query: "?- in(i0).", Mode: "brave"})
+	ent, err := retrying.Entails(ctx, ntgdapi.Request{Program: program, Query: "?- in(i0).", Mode: "brave"})
 	if err != nil {
 		log.Fatal(err)
 	}

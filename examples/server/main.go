@@ -19,6 +19,7 @@ import (
 	"strings"
 
 	"ntgd/internal/server"
+	"ntgd/ntgdapi"
 )
 
 const program = `item(i0). item(i1). item(i2).
@@ -41,24 +42,24 @@ func main() {
 	fmt.Printf("daemon: %s\n\n", base)
 
 	// 1. Enumerate the stable models (2^3 subset choices).
-	var solve server.SolveResponse
-	post(base, "/v1/solve", server.Request{Program: program}, &solve)
+	var solve ntgdapi.SolveResponse
+	post(base, "/v1/solve", ntgdapi.Request{Program: program}, &solve)
 	fmt.Printf("solve: %d models, e.g. %s\n\n", solve.Count, solve.Models[0])
 
 	// 2. Boolean queries under both reasoning modes. The program is
 	//    already cached: these requests skip compilation entirely.
-	var brave, cautious server.EntailsResponse
-	post(base, "/v1/entails", server.Request{Program: program, Query: "?- in(i0).", Mode: "brave"}, &brave)
-	post(base, "/v1/entails", server.Request{Program: program, Query: "?- in(i0).", Mode: "cautious"}, &cautious)
+	var brave, cautious ntgdapi.EntailsResponse
+	post(base, "/v1/entails", ntgdapi.Request{Program: program, Query: "?- in(i0).", Mode: "brave"}, &brave)
+	post(base, "/v1/entails", ntgdapi.Request{Program: program, Query: "?- in(i0).", Mode: "cautious"}, &cautious)
 	fmt.Printf("in(i0): brave=%v cautious=%v (some models include i0, others exclude it)\n\n",
 		brave.Entailed, cautious.Entailed)
 
 	// 3. A batch: many queries against one compiled program, one
 	//    round trip.
-	var batch server.BatchResponse
-	post(base, "/v1/batch", server.Request{
+	var batch ntgdapi.BatchResponse
+	post(base, "/v1/batch", ntgdapi.Request{
 		Program: program,
-		Queries: []server.BatchItem{
+		Queries: []ntgdapi.BatchItem{
 			{Query: "?- in(i0), in(i1), in(i2).", Mode: "brave"},
 			{Query: "?-[X] item(X).", Mode: "cautious"},
 		},
@@ -82,7 +83,7 @@ func main() {
 
 // post sends one request, decodes the response, and prints the
 // equivalent curl invocation.
-func post(base, path string, req server.Request, out any) {
+func post(base, path string, req ntgdapi.Request, out any) {
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
 	enc.SetEscapeHTML(false) // keep "->" readable in the printed curl
@@ -97,7 +98,7 @@ func post(base, path string, req server.Request, out any) {
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		var e server.ErrorResponse
+		var e ntgdapi.ErrorResponse
 		_ = json.NewDecoder(resp.Body).Decode(&e)
 		log.Fatalf("POST %s: %d %s (%s)", path, resp.StatusCode, e.Error, e.Class)
 	}

@@ -1,6 +1,7 @@
 package ntgd_test
 
 import (
+	"context"
 	"testing"
 
 	"ntgd"
@@ -24,18 +25,23 @@ hasFather(X,Y), hasFather(X,Z), not sameAs(Y,Z) -> abnormal(X).
 	if !rep.WeaklyAcyclic {
 		t.Fatalf("father program is weakly acyclic: %s", rep)
 	}
-	res, err := ntgd.StableModels(prog, ntgd.Options{})
+	solver, err := ntgd.Compile(prog, ntgd.CompileOptions{Semantics: ntgd.SO})
 	if err != nil {
-		t.Fatalf("StableModels: %v", err)
+		t.Fatalf("Compile: %v", err)
 	}
-	if len(res.Models) != 2 {
-		t.Fatalf("models = %d, want 2", len(res.Models))
+	ctx := context.Background()
+	models, err := collectModels(ctx, solver)
+	if err != nil {
+		t.Fatalf("Models: %v", err)
 	}
-	v, err := ntgd.Entails(prog, prog.Queries[0], ntgd.Cautious, ntgd.Options{})
+	if len(models) != 2 {
+		t.Fatalf("models = %d, want 2", len(models))
+	}
+	v, err := solver.Entails(ctx, prog.Queries[0], ntgd.Cautious)
 	if err != nil || !v.Entailed {
 		t.Fatalf("q1 should be cautiously entailed (err=%v)", err)
 	}
-	v, err = ntgd.Entails(prog, prog.Queries[1], ntgd.Cautious, ntgd.Options{})
+	v, err = solver.Entails(ctx, prog.Queries[1], ntgd.Cautious)
 	if err != nil || v.Entailed {
 		t.Fatalf("q2 must not be entailed under the SO semantics (err=%v)", err)
 	}
@@ -59,7 +65,7 @@ hasFather(X,Y), hasFather(X,Z), not sameAs(Y,Z) -> abnormal(X).
 		ntgd.Operational: true,  // fresh-nulls-only loses it too
 	}
 	for sem, expect := range want {
-		v, err := ntgd.EntailsUnder(prog, q, ntgd.Cautious, sem, ntgd.Options{})
+		v, err := entails(prog, q, ntgd.Cautious, sem)
 		if err != nil {
 			t.Fatalf("%v: %v", sem, err)
 		}
@@ -93,11 +99,11 @@ edge(X,Y), green(X), green(Y) -> clash.
 		t.Fatalf("EliminateDisjunction: %v", err)
 	}
 	for _, mode := range []ntgd.Mode{ntgd.Cautious, ntgd.Brave} {
-		a, err := ntgd.Entails(prog, q, mode, ntgd.Options{})
+		a, err := entails(prog, q, mode, ntgd.SO)
 		if err != nil {
 			t.Fatalf("original %v: %v", mode, err)
 		}
-		b, err := ntgd.Entails(elim, q, mode, ntgd.Options{})
+		b, err := entails(elim, q, mode, ntgd.SO)
 		if err != nil {
 			t.Fatalf("eliminated %v: %v", mode, err)
 		}

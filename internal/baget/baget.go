@@ -48,33 +48,3 @@ func (c *Compiled) Semantics() string { return "operational" }
 func (c *Compiled) Enumerate(ctx context.Context, p engine.Params, visit func(*logic.FactStore) bool) (engine.Stats, bool, error) {
 	return c.c.Enumerate(ctx, p, visit)
 }
-
-// StableModels enumerates the stable models under the operational
-// semantics of [3].
-func StableModels(db *logic.FactStore, rules []*logic.Rule, opt core.Options) (*core.Result, error) {
-	c, err := Compile(db, rules, opt)
-	if err != nil {
-		return nil, err
-	}
-	return engine.CollectModels(context.Background(), c, engine.Params{}, opt.MaxModels)
-}
-
-// CautiousEntails decides certain entailment under the operational
-// semantics of [3].
-func CautiousEntails(db *logic.FactStore, rules []*logic.Rule, q logic.Query, opt core.Options) (core.QAResult, error) {
-	c, err := Compile(db, rules, opt)
-	if err != nil {
-		return core.QAResult{}, err
-	}
-	return engine.CautiousEntails(context.Background(), c, engine.Params{}, q)
-}
-
-// BraveEntails decides brave entailment under the operational
-// semantics of [3].
-func BraveEntails(db *logic.FactStore, rules []*logic.Rule, q logic.Query, opt core.Options) (core.QAResult, error) {
-	c, err := Compile(db, rules, opt)
-	if err != nil {
-		return core.QAResult{}, err
-	}
-	return engine.BraveEntails(context.Background(), c, engine.Params{}, q)
-}

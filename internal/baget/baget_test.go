@@ -1,13 +1,26 @@
 package baget_test
 
 import (
+	"context"
 	"testing"
 
 	"ntgd/internal/baget"
 	"ntgd/internal/core"
+	"ntgd/internal/engine"
 	"ntgd/internal/logic"
 	"ntgd/internal/parser"
 )
+
+// compile builds the operational engine the Solver runs for
+// Semantics Operational.
+func compile(t *testing.T, db *logic.FactStore, rules []*logic.Rule) *baget.Compiled {
+	t.Helper()
+	c, err := baget.Compile(db, rules, core.Options{})
+	if err != nil {
+		t.Fatalf("Compile: %v", err)
+	}
+	return c
+}
 
 const fatherProgram = `
 person(alice).
@@ -22,9 +35,9 @@ hasFather(X,Y), hasFather(X,Z), not sameAs(Y,Z) -> abnormal(X).
 func TestOperationalSemanticsFreshNullsOnly(t *testing.T) {
 	prog := parser.MustParse(fatherProgram)
 	db := prog.Database()
-	res, err := baget.StableModels(db, prog.Rules, core.Options{})
+	res, err := engine.CollectModels(context.Background(), compile(t, db, prog.Rules), engine.Params{}, 0)
 	if err != nil {
-		t.Fatalf("StableModels: %v", err)
+		t.Fatalf("CollectModels: %v", err)
 	}
 	if len(res.Models) != 1 {
 		t.Fatalf("expected exactly one operational stable model, got %d", len(res.Models))
@@ -43,7 +56,7 @@ func TestSection1Criticism(t *testing.T) {
 	db := prog.Database()
 	q := prog.Queries[0]
 
-	op, err := baget.CautiousEntails(db, prog.Rules, q, core.Options{})
+	op, err := engine.CautiousEntails(context.Background(), compile(t, db, prog.Rules), engine.Params{}, q)
 	if err != nil {
 		t.Fatalf("baget: %v", err)
 	}
@@ -66,9 +79,9 @@ func TestSection1Criticism(t *testing.T) {
 func TestOperationalModelsAreSOStable(t *testing.T) {
 	prog := parser.MustParse(fatherProgram)
 	db := prog.Database()
-	res, err := baget.StableModels(db, prog.Rules, core.Options{})
+	res, err := engine.CollectModels(context.Background(), compile(t, db, prog.Rules), engine.Params{}, 0)
 	if err != nil {
-		t.Fatalf("StableModels: %v", err)
+		t.Fatalf("CollectModels: %v", err)
 	}
 	for _, m := range res.Models {
 		if !core.IsStableModel(db, prog.Rules, m) {
@@ -88,7 +101,7 @@ a(X), not p(X) -> q(X).
 `)
 	db := prog.Database()
 	q := prog.Queries[0]
-	op, err := baget.BraveEntails(db, prog.Rules, q, core.Options{})
+	op, err := engine.BraveEntails(context.Background(), compile(t, db, prog.Rules), engine.Params{}, q)
 	if err != nil {
 		t.Fatalf("baget: %v", err)
 	}

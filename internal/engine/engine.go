@@ -19,6 +19,7 @@ import (
 	"errors"
 
 	"ntgd/internal/logic"
+	"ntgd/ntgdapi"
 )
 
 // ErrBudget is reported (alongside partial results) when an engine's
@@ -44,37 +45,9 @@ type Params struct {
 }
 
 // Stats is the uniform search-effort report shared by all engines.
-// Engines fill the fields that apply to them and leave the rest zero.
-type Stats struct {
-	// Nodes counts search nodes visited.
-	Nodes int64
-	// Branches counts non-deterministic branch points (SO/operational).
-	Branches int64
-	// Deterministic counts forced trigger applications (SO/operational).
-	Deterministic int64
-	// Completed counts fixpoint candidates reached (SO/operational).
-	Completed int64
-	// StabilityChecks counts full stability validations.
-	StabilityChecks int64
-	// StabilityFailed counts candidates rejected as unstable.
-	StabilityFailed int64
-	// ModelsEmitted counts stable models delivered to the visitor.
-	ModelsEmitted int64
-	// Conflicts counts propagation conflicts (LP pipeline).
-	Conflicts int64
-}
-
-// Add accumulates another run's effort into s.
-func (s *Stats) Add(o Stats) {
-	s.Nodes += o.Nodes
-	s.Branches += o.Branches
-	s.Deterministic += o.Deterministic
-	s.Completed += o.Completed
-	s.StabilityChecks += o.StabilityChecks
-	s.StabilityFailed += o.StabilityFailed
-	s.ModelsEmitted += o.ModelsEmitted
-	s.Conflicts += o.Conflicts
-}
+// It is the wire type itself, so hosts serving effort reports (the
+// ntgdd daemon) put a run's Stats into a response body unconverted.
+type Stats = ntgdapi.Stats
 
 // Engine is a compiled program under one stable model semantics. An
 // Engine is safe for sequential reuse: enumeration runs share the

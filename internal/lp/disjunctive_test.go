@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"ntgd/internal/core"
-	"ntgd/internal/lp"
 	"ntgd/internal/parser"
 )
 
@@ -37,7 +36,7 @@ gifted(X) -> happy.`,
 		t.Run(fmt.Sprintf("program%d", i), func(t *testing.T) {
 			prog := parser.MustParse(src)
 			db := prog.Database()
-			lpRes, err := lp.StableModels(db, prog.Rules, lp.Options{})
+			lpRes, err := lpModels(db, prog.Rules)
 			if err != nil {
 				t.Fatalf("lp: %v", err)
 			}
@@ -91,7 +90,7 @@ func TestTheorem20Random(t *testing.T) {
 			continue
 		}
 		db := prog.Database()
-		lpRes, err := lp.StableModels(db, prog.Rules, lp.Options{})
+		lpRes, err := lpModels(db, prog.Rules)
 		if err != nil {
 			t.Fatalf("lp: %v on\n%s", err, src)
 		}

@@ -25,21 +25,9 @@ import (
 type Options struct {
 	// Ground bounds the grounding phase.
 	Ground ground.Options
-	// Solve configures stable model enumeration.
+	// Solve configures stable model enumeration. Its MaxModels is
+	// ignored: enumeration is visitor-driven (see Enumerate).
 	Solve asp.SolveOptions
-	// MaxModels limits enumeration (0 = all).
-	MaxModels int
-}
-
-// Result is the outcome of stable model computation under the LP
-// approach.
-type Result struct {
-	// Models holds the stable models over the original vocabulary
-	// (atoms may contain Skolem function terms).
-	Models []*logic.FactStore
-	// Grounding gives access to the intermediate ground program.
-	Grounding *ground.Grounding
-	Stats     asp.Stats
 }
 
 // Compiled is the LP pipeline compiled for one program: rules
@@ -102,48 +90,4 @@ func (c *Compiled) Enumerate(ctx context.Context, _ engine.Params, visit func(*l
 		exhausted = true
 	}
 	return es, exhausted, err
-}
-
-// StableModels computes the stable models of (D, Σ) under the LP
-// approach: SMS_LP(Π_{D,Σ}).
-func StableModels(db *logic.FactStore, rules []*logic.Rule, opt Options) (*Result, error) {
-	c, err := Compile(db, rules, opt)
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{Grounding: c.g}
-	solveOpt := opt.Solve
-	if solveOpt.MaxModels == 0 {
-		solveOpt.MaxModels = opt.MaxModels
-	}
-	solveOpt.SeedWFS = true
-	stats, err := asp.Solve(c.g.Prog, solveOpt, func(m asp.Model) bool {
-		res.Models = append(res.Models, c.g.ModelStore(m))
-		return opt.MaxModels == 0 || len(res.Models) < opt.MaxModels
-	})
-	res.Stats = stats
-	if err != nil {
-		return res, err
-	}
-	return res, nil
-}
-
-// CautiousEntails decides whether q holds in every LP-stable model.
-func CautiousEntails(db *logic.FactStore, rules []*logic.Rule, q logic.Query, opt Options) (bool, error) {
-	c, err := Compile(db, rules, opt)
-	if err != nil {
-		return false, err
-	}
-	res, err := engine.CautiousEntails(context.Background(), c, engine.Params{}, q)
-	return res.Entailed, err
-}
-
-// BraveEntails decides whether q holds in some LP-stable model.
-func BraveEntails(db *logic.FactStore, rules []*logic.Rule, q logic.Query, opt Options) (bool, error) {
-	c, err := Compile(db, rules, opt)
-	if err != nil {
-		return false, err
-	}
-	res, err := engine.BraveEntails(context.Background(), c, engine.Params{}, q)
-	return res.Entailed, err
 }

@@ -1,16 +1,28 @@
 package lp_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
 
 	"ntgd/internal/core"
+	"ntgd/internal/engine"
 	"ntgd/internal/ground"
 	"ntgd/internal/logic"
 	"ntgd/internal/lp"
 	"ntgd/internal/parser"
 )
+
+// lpModels runs the LP pipeline the way the Solver does: compile once
+// (Skolemize + ground), then enumerate through the engine contract.
+func lpModels(db *logic.FactStore, rules []*logic.Rule) (*engine.Result, error) {
+	c, err := lp.Compile(db, rules, lp.Options{})
+	if err != nil {
+		return nil, err
+	}
+	return engine.CollectModels(context.Background(), c, engine.Params{}, 0)
+}
 
 const fatherProgram = `
 person(alice).
@@ -25,9 +37,9 @@ hasFather(X,Y), hasFather(X,Z), not sameAs(Y,Z) -> abnormal(X).
 func TestLPSkolemizedFatherExample(t *testing.T) {
 	prog := parser.MustParse(fatherProgram)
 	db := prog.Database()
-	res, err := lp.StableModels(db, prog.Rules, lp.Options{})
+	res, err := lpModels(db, prog.Rules)
 	if err != nil {
-		t.Fatalf("StableModels: %v", err)
+		t.Fatalf("lp: %v", err)
 	}
 	if len(res.Models) != 1 {
 		t.Fatalf("LP approach: expected exactly one stable model, got %d", len(res.Models))
@@ -42,11 +54,15 @@ func TestLPSkolemizedFatherExample(t *testing.T) {
 	}
 
 	q := parser.MustParse("?- person(alice), not hasFather(alice,bob).").Queries[0]
-	entailed, err := lp.CautiousEntails(db, prog.Rules, q, lp.Options{})
+	c, err := lp.Compile(db, prog.Rules, lp.Options{})
+	if err != nil {
+		t.Fatalf("Compile: %v", err)
+	}
+	v, err := engine.CautiousEntails(context.Background(), c, engine.Params{}, q)
 	if err != nil {
 		t.Fatalf("CautiousEntails: %v", err)
 	}
-	if !entailed {
+	if !v.Entailed {
 		t.Fatalf("the LP approach should (unintendedly) entail ¬hasFather(alice,bob)")
 	}
 }
@@ -86,7 +102,7 @@ func compareLPvsSO(t *testing.T, src string) {
 	}
 	db := prog.Database()
 
-	lpRes, err := lp.StableModels(db, prog.Rules, lp.Options{})
+	lpRes, err := lpModels(db, prog.Rules)
 	if err != nil {
 		t.Fatalf("lp: %v", err)
 	}

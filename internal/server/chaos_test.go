@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"ntgd/internal/failpoint"
+	"ntgd/ntgdapi"
 )
 
 // awaitGoroutines waits for the goroutine count to settle back to the
@@ -50,7 +51,7 @@ func TestChaosServerHandler(t *testing.T) {
 	if code := post(t, hs.URL, "/v1/solve", req, &errRes); code != http.StatusInternalServerError {
 		t.Fatalf("status = %d, want 500", code)
 	}
-	if errRes.Class != ClassInternal {
+	if errRes.Class != ntgdapi.ClassInternal {
 		t.Fatalf("class = %q, want internal", errRes.Class)
 	}
 	if failpoint.Fired(failpoint.ServerHandler) != 1 {
@@ -88,7 +89,7 @@ func TestChaosServerShed(t *testing.T) {
 	}
 	failpoint.Arm(failpoint.ServerShed, 1)
 	resp, errRes := postFull(t, hs.URL, "/v1/entails", req)
-	if resp.StatusCode != http.StatusInternalServerError || errRes.Class != ClassInternal {
+	if resp.StatusCode != http.StatusInternalServerError || errRes.Class != ntgdapi.ClassInternal {
 		t.Fatalf("faulted shed = %d/%q, want 500/internal", resp.StatusCode, errRes.Class)
 	}
 	if failpoint.Fired(failpoint.ServerShed) != 1 {
@@ -99,7 +100,7 @@ func TestChaosServerShed(t *testing.T) {
 	// Disarmed but still overloaded: the shed path works again, with
 	// the full retry-guidance contract.
 	resp, errRes = postFull(t, hs.URL, "/v1/entails", req)
-	if resp.StatusCode != http.StatusTooManyRequests || errRes.Class != ClassAdmission {
+	if resp.StatusCode != http.StatusTooManyRequests || errRes.Class != ntgdapi.ClassAdmission {
 		t.Fatalf("post-fault shed = %d/%q, want 429/admission", resp.StatusCode, errRes.Class)
 	}
 	requireRetryGuidance(t, resp, errRes)
@@ -131,7 +132,7 @@ func TestChaosEngineFaultOverHTTP(t *testing.T) {
 	if code := post(t, hs.URL, "/v1/solve", req, &errRes); code != http.StatusInternalServerError {
 		t.Fatalf("status = %d, want 500", code)
 	}
-	if errRes.Class != ClassInternal {
+	if errRes.Class != ntgdapi.ClassInternal {
 		t.Fatalf("class = %q, want internal", errRes.Class)
 	}
 	failpoint.Disarm(failpoint.CoreSink)

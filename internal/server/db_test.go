@@ -2,6 +2,7 @@ package server
 
 import (
 	"net/http"
+	"ntgd/ntgdapi"
 	"sort"
 	"strings"
 	"testing"
@@ -70,8 +71,8 @@ func TestDBUnknownHandle(t *testing.T) {
 	_, hs := newTestServer(t, Config{})
 	var er ErrorResponse
 	code := post(t, hs.URL, "/v1/solve", Request{Program: "p(X) -> q(X).", DB: "deadbeef"}, &er)
-	if code != http.StatusNotFound || er.Class != ClassNotFound {
-		t.Fatalf("unknown handle: status = %d class = %q, want 404 %q", code, er.Class, ClassNotFound)
+	if code != http.StatusNotFound || er.Class != ntgdapi.ClassNotFound {
+		t.Fatalf("unknown handle: status = %d class = %q, want 404 %q", code, er.Class, ntgdapi.ClassNotFound)
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"ntgd"
+	"ntgd/ntgdapi"
 )
 
 // postFull is post returning the whole *http.Response (closed) plus the
@@ -96,7 +97,7 @@ func TestServerQueueFullShed(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
 		t.Fatalf("refusal took %v; a full queue must shed immediately, not park", elapsed)
 	}
-	if resp.StatusCode != http.StatusTooManyRequests || errRes.Class != ClassAdmission {
+	if resp.StatusCode != http.StatusTooManyRequests || errRes.Class != ntgdapi.ClassAdmission {
 		t.Fatalf("got %d/%q, want 429/admission", resp.StatusCode, errRes.Class)
 	}
 	requireRetryGuidance(t, resp, errRes)
@@ -137,7 +138,7 @@ func TestServerDeadlineHopelessShed(t *testing.T) {
 	resp, errRes := postFull(t, hs.URL, "/v1/entails", Request{
 		Program: subsetSrc, Query: "?- in(i0).", Mode: "brave", TimeoutMS: 200,
 	})
-	if resp.StatusCode != http.StatusTooManyRequests || errRes.Class != ClassAdmission {
+	if resp.StatusCode != http.StatusTooManyRequests || errRes.Class != ntgdapi.ClassAdmission {
 		t.Fatalf("got %d/%q, want 429/admission", resp.StatusCode, errRes.Class)
 	}
 	requireRetryGuidance(t, resp, errRes)
@@ -164,8 +165,8 @@ func TestServerRequestTooLarge(t *testing.T) {
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("status = %d, want 413", resp.StatusCode)
 	}
-	if errRes.Class != ClassRequestTooLarge {
-		t.Fatalf("class = %q, want %q", errRes.Class, ClassRequestTooLarge)
+	if errRes.Class != ntgdapi.ClassRequestTooLarge {
+		t.Fatalf("class = %q, want %q", errRes.Class, ntgdapi.ClassRequestTooLarge)
 	}
 	if h := resp.Header.Get("Retry-After"); h != "" {
 		t.Fatalf("413 carries Retry-After %q; a too-large body is deterministic and must not invite retries", h)
@@ -173,8 +174,8 @@ func TestServerRequestTooLarge(t *testing.T) {
 	if !strings.Contains(errRes.Error, "256") {
 		t.Fatalf("error %q does not name the limit", errRes.Error)
 	}
-	if stz := getStatz(t, hs.URL); stz.Errors[ClassRequestTooLarge] != 1 {
-		t.Fatalf("errors[request_too_large] = %d, want 1", stz.Errors[ClassRequestTooLarge])
+	if stz := getStatz(t, hs.URL); stz.Errors[ntgdapi.ClassRequestTooLarge] != 1 {
+		t.Fatalf("errors[request_too_large] = %d, want 1", stz.Errors[ntgdapi.ClassRequestTooLarge])
 	}
 }
 
@@ -184,7 +185,7 @@ func TestServerDrainRetryGuidance(t *testing.T) {
 	srv, hs := newTestServer(t, Config{})
 	srv.StartDrain()
 	resp, errRes := postFull(t, hs.URL, "/v1/solve", Request{Program: subsetSrc})
-	if resp.StatusCode != http.StatusServiceUnavailable || errRes.Class != ClassDraining {
+	if resp.StatusCode != http.StatusServiceUnavailable || errRes.Class != ntgdapi.ClassDraining {
 		t.Fatalf("got %d/%q, want 503/draining", resp.StatusCode, errRes.Class)
 	}
 	requireRetryGuidance(t, resp, errRes)
@@ -248,7 +249,7 @@ func TestServerOverloadSoak(t *testing.T) {
 			})
 			switch resp.StatusCode {
 			case http.StatusTooManyRequests:
-				if errRes.Class != ClassAdmission {
+				if errRes.Class != ntgdapi.ClassAdmission {
 					t.Errorf("429 class = %q, want admission", errRes.Class)
 				}
 				requireRetryGuidance(t, resp, errRes)
@@ -278,8 +279,8 @@ func TestServerOverloadSoak(t *testing.T) {
 		t.Fatalf("gate shed counters sum to %d, but clients saw %d refusals", got, refused)
 	}
 	stz := getStatz(t, hs.URL)
-	if stz.Errors[ClassAdmission] != refused {
-		t.Fatalf("errors[admission] = %d, want %d", stz.Errors[ClassAdmission], refused)
+	if stz.Errors[ntgdapi.ClassAdmission] != refused {
+		t.Fatalf("errors[admission] = %d, want %d", stz.Errors[ntgdapi.ClassAdmission], refused)
 	}
 	if stz.InFlight != 0 {
 		t.Fatalf("in_flight = %d after the burst, want 0", stz.InFlight)
@@ -367,7 +368,7 @@ func TestServerBrownout(t *testing.T) {
 		t.Fatalf("hard sample → %v, want hard", lvl)
 	}
 	resp, errRes2 := postFull(t, hs.URL, "/v1/solve", Request{Program: subsetSrc})
-	if resp.StatusCode != http.StatusServiceUnavailable || errRes2.Class != ClassOverloaded {
+	if resp.StatusCode != http.StatusServiceUnavailable || errRes2.Class != ntgdapi.ClassOverloaded {
 		t.Fatalf("got %d/%q under hard pressure, want 503/overloaded", resp.StatusCode, errRes2.Class)
 	}
 	requireRetryGuidance(t, resp, errRes2)

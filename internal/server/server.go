@@ -49,6 +49,7 @@ import (
 
 	"ntgd"
 	"ntgd/internal/failpoint"
+	"ntgd/ntgdapi"
 )
 
 // Config configures a Server. The zero value serves with the defaults
@@ -215,24 +216,24 @@ type runResult struct {
 func (s *Server) handle(name string, fn func(ctx context.Context, req *Request) (runResult, error)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if s.draining.Load() {
-			s.count(s.errors, ClassDraining)
+			s.count(s.errors, ntgdapi.ClassDraining)
 			s.shed(w, http.StatusServiceUnavailable, ErrorResponse{
-				Error: "ntgdd: draining", Class: ClassDraining,
+				Error: "ntgdd: draining", Class: ntgdapi.ClassDraining,
 			})
 			return
 		}
 		if s.Pressure() >= PressureHard {
-			s.count(s.errors, ClassOverloaded)
+			s.count(s.errors, ntgdapi.ClassOverloaded)
 			s.shed(w, http.StatusServiceUnavailable, ErrorResponse{
 				Error: "ntgdd: refusing new work under hard memory pressure",
-				Class: ClassOverloaded,
+				Class: ntgdapi.ClassOverloaded,
 			})
 			return
 		}
 		if r.Method != http.MethodPost {
 			w.Header().Set("Allow", http.MethodPost)
 			s.writeJSON(w, http.StatusMethodNotAllowed, ErrorResponse{
-				Error: "use POST", Class: ClassBadRequest,
+				Error: "use POST", Class: ntgdapi.ClassBadRequest,
 			})
 			return
 		}
@@ -242,16 +243,16 @@ func (s *Server) handle(name string, fn func(ctx context.Context, req *Request) 
 		if err := json.NewDecoder(body).Decode(&req); err != nil {
 			var mbe *http.MaxBytesError
 			if errors.As(err, &mbe) {
-				s.count(s.errors, ClassRequestTooLarge)
+				s.count(s.errors, ntgdapi.ClassRequestTooLarge)
 				s.writeJSON(w, http.StatusRequestEntityTooLarge, ErrorResponse{
 					Error: fmt.Sprintf("request body exceeds the %d-byte cap; split the program or raise the server's MaxBodyBytes", mbe.Limit),
-					Class: ClassRequestTooLarge,
+					Class: ntgdapi.ClassRequestTooLarge,
 				})
 				return
 			}
-			s.count(s.errors, ClassBadRequest)
+			s.count(s.errors, ntgdapi.ClassBadRequest)
 			s.writeJSON(w, http.StatusBadRequest, ErrorResponse{
-				Error: "decoding request body: " + err.Error(), Class: ClassBadRequest,
+				Error: "decoding request body: " + err.Error(), Class: ntgdapi.ClassBadRequest,
 			})
 			return
 		}
@@ -264,9 +265,9 @@ func (s *Server) handle(name string, fn func(ctx context.Context, req *Request) 
 		s.inFlight.Add(-1)
 
 		if err != nil {
-			status, class := http.StatusBadRequest, ClassBadRequest
+			status, class := http.StatusBadRequest, ntgdapi.ClassBadRequest
 			if errors.Is(err, errNotFound) {
-				status, class = http.StatusNotFound, ClassNotFound
+				status, class = http.StatusNotFound, ntgdapi.ClassNotFound
 			} else if !errors.Is(err, errBadRequest) {
 				status, class = statusFor(err)
 			}
@@ -274,7 +275,7 @@ func (s *Server) handle(name string, fn func(ctx context.Context, req *Request) 
 			resp := ErrorResponse{
 				Error:     err.Error(),
 				Class:     class,
-				Stats:     statsJSON(res.stats),
+				Stats:     res.stats,
 				Exhausted: res.exhausted,
 			}
 			if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
@@ -307,10 +308,10 @@ const defaultRetryAfterMS = 1000
 func (s *Server) shed(w http.ResponseWriter, status int, resp ErrorResponse) {
 	defer func() {
 		if r := recover(); r != nil {
-			s.count(s.errors, ClassInternal)
+			s.count(s.errors, ntgdapi.ClassInternal)
 			s.writeJSON(w, http.StatusInternalServerError, ErrorResponse{
 				Error: fmt.Sprintf("ntgdd: shed-path fault: %v", r),
-				Class: ClassInternal,
+				Class: ntgdapi.ClassInternal,
 			})
 		}
 	}()
@@ -468,7 +469,7 @@ func (s *Server) doSolve(ctx context.Context, req *Request) (runResult, error) {
 		Models:    models,
 		Count:     len(models),
 		Exhausted: res.Exhausted,
-		Stats:     statsJSON(res.Stats),
+		Stats:     res.Stats,
 	}
 	return out, nil
 }
@@ -495,7 +496,7 @@ func (s *Server) doEntails(ctx context.Context, req *Request) (runResult, error)
 		Entailed:  res.Entailed,
 		NoModels:  res.NoModels,
 		Exhausted: res.Exhausted,
-		Stats:     statsJSON(res.Stats),
+		Stats:     res.Stats,
 	}
 	if res.Witness != nil {
 		payload.Witness = res.Witness.CanonicalString()
@@ -528,7 +529,7 @@ func (s *Server) doAnswers(ctx context.Context, req *Request) (runResult, error)
 	out.payload = AnswersResponse{
 		Tuples:   renderTuples(res.Tuples),
 		Complete: res.Complete,
-		Stats:    statsJSON(res.Stats),
+		Stats:    res.Stats,
 	}
 	return out, nil
 }
@@ -563,34 +564,34 @@ func (s *Server) doBatch(ctx context.Context, req *Request) (runResult, error) {
 		if ctx.Err() != nil {
 			results[i] = BatchResult{
 				Error: "deadline expired before this item ran",
-				Class: ClassTimeout,
+				Class: ntgdapi.ClassTimeout,
 			}
 			continue
 		}
 		results[i] = s.batchItem(ctx, solver, item)
-		agg.Add(statsBack(results[i].Stats))
+		agg.Add(results[i].Stats)
 	}
 	return runResult{stats: agg, payload: BatchResponse{
 		Results: results,
-		Stats:   statsJSON(agg),
+		Stats:   agg,
 	}}, nil
 }
 
 func (s *Server) batchItem(ctx context.Context, solver *ntgd.Solver, item BatchItem) BatchResult {
 	q, err := parseQuery(item.Query)
 	if err != nil {
-		return BatchResult{Error: err.Error(), Class: ClassBadRequest}
+		return BatchResult{Error: err.Error(), Class: ntgdapi.ClassBadRequest}
 	}
 	mode, err := modeFromString(item.Mode)
 	if err != nil {
-		return BatchResult{Error: err.Error(), Class: ClassBadRequest}
+		return BatchResult{Error: err.Error(), Class: ntgdapi.ClassBadRequest}
 	}
 	if len(q.AnswerVars) > 0 {
 		res, err := solver.AnswerSet(ctx, q, mode)
 		out := BatchResult{
 			Tuples:   renderTuples(res.Tuples),
 			Complete: res.Complete,
-			Stats:    statsJSON(res.Stats),
+			Stats:    res.Stats,
 		}
 		if err != nil {
 			_, out.Class = statusFor(err)
@@ -602,7 +603,7 @@ func (s *Server) batchItem(ctx context.Context, solver *ntgd.Solver, item BatchI
 	out := BatchResult{
 		Entailed: res.Entailed,
 		NoModels: res.NoModels,
-		Stats:    statsJSON(res.Stats),
+		Stats:    res.Stats,
 	}
 	if res.Witness != nil {
 		out.Witness = res.Witness.CanonicalString()
@@ -624,20 +625,6 @@ func renderTuples(tuples []ntgd.AnswerTuple) [][]string {
 		out[i] = row
 	}
 	return out
-}
-
-// statsBack converts the wire Stats back for aggregation.
-func statsBack(w Stats) ntgd.Stats {
-	return ntgd.Stats{
-		Nodes:           w.Nodes,
-		Branches:        w.Branches,
-		Deterministic:   w.Deterministic,
-		Completed:       w.Completed,
-		StabilityChecks: w.StabilityChecks,
-		StabilityFailed: w.StabilityFailed,
-		ModelsEmitted:   w.ModelsEmitted,
-		Conflicts:       w.Conflicts,
-	}
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -662,7 +649,7 @@ type Statz struct {
 	Gate     GateStatz        `json:"gate"`
 	Cache    CacheStats       `json:"cache"`
 	DBCache  CacheStats       `json:"db_cache"`
-	Engine   Stats            `json:"engine"`
+	Engine   ntgd.Stats       `json:"engine"`
 }
 
 func (s *Server) handleStatz(w http.ResponseWriter, r *http.Request) {
@@ -686,7 +673,7 @@ func (s *Server) handleStatz(w http.ResponseWriter, r *http.Request) {
 		Gate:     gateStatsJSON(s.gate.Snapshot()),
 		Cache:    s.cache.stats(),
 		DBCache:  s.dbs.stats(),
-		Engine:   statsJSON(s.cache.engineStats()),
+		Engine:   s.cache.engineStats(),
 	})
 }
 

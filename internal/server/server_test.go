@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"ntgd"
+	"ntgd/ntgdapi"
 )
 
 const subsetSrc = `item(i0). item(i1). item(i2). item(i3).
@@ -214,8 +215,8 @@ func TestServerDeadline(t *testing.T) {
 	if code != http.StatusGatewayTimeout {
 		t.Fatalf("status = %d, want 504", code)
 	}
-	if res.Class != ClassTimeout {
-		t.Fatalf("class = %q, want %q", res.Class, ClassTimeout)
+	if res.Class != ntgdapi.ClassTimeout {
+		t.Fatalf("class = %q, want %q", res.Class, ntgdapi.ClassTimeout)
 	}
 	if res.Stats.Nodes == 0 {
 		t.Error("timeout response carries no partial stats")
@@ -237,7 +238,7 @@ func TestServerTimeoutClamp(t *testing.T) {
 		Mode:    "cautious",
 		// No timeout_ms: the clamp must still apply.
 	}, &res)
-	if code != http.StatusGatewayTimeout || res.Class != ClassTimeout {
+	if code != http.StatusGatewayTimeout || res.Class != ntgdapi.ClassTimeout {
 		t.Fatalf("status/class = %d/%q, want 504/timeout", code, res.Class)
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
@@ -259,8 +260,8 @@ func TestServerAdmission(t *testing.T) {
 	if code := post(t, hs.URL, "/v1/entails", req, &errRes); code != http.StatusTooManyRequests {
 		t.Fatalf("status = %d, want 429", code)
 	}
-	if errRes.Class != ClassAdmission {
-		t.Fatalf("class = %q, want %q", errRes.Class, ClassAdmission)
+	if errRes.Class != ntgdapi.ClassAdmission {
+		t.Fatalf("class = %q, want %q", errRes.Class, ntgdapi.ClassAdmission)
 	}
 	srv.gate.Release()
 	var ok EntailsResponse
@@ -289,11 +290,11 @@ func TestServerBatchDeadline(t *testing.T) {
 	if len(res.Results) != 3 {
 		t.Fatalf("%d results, want 3", len(res.Results))
 	}
-	if res.Results[0].Class != ClassTimeout {
+	if res.Results[0].Class != ntgdapi.ClassTimeout {
 		t.Errorf("results[0].class = %q, want timeout", res.Results[0].Class)
 	}
 	for i := 1; i < 3; i++ {
-		if res.Results[i].Class != ClassTimeout || res.Results[i].Error == "" {
+		if res.Results[i].Class != ntgdapi.ClassTimeout || res.Results[i].Error == "" {
 			t.Errorf("results[%d] = %+v, want marked timed out", i, res.Results[i])
 		}
 	}
@@ -324,7 +325,7 @@ func TestServerBadRequests(t *testing.T) {
 			if code := post(t, hs.URL, tc.path, tc.req, &res); code != http.StatusBadRequest {
 				t.Fatalf("status = %d, want 400", code)
 			}
-			if res.Class != ClassBadRequest {
+			if res.Class != ntgdapi.ClassBadRequest {
 				t.Fatalf("class = %q, want bad_request", res.Class)
 			}
 		})
@@ -360,28 +361,28 @@ func TestStatusFor(t *testing.T) {
 		status int
 		class  string
 	}{
-		{"budget", ntgd.ErrBudget, http.StatusUnprocessableEntity, ClassBudget},
-		{"wall-clock is a budget", ntgd.ErrWallClock, http.StatusUnprocessableEntity, ClassBudget},
-		{"wrapped budget", fmt.Errorf("run: %w", ntgd.ErrBudget), http.StatusUnprocessableEntity, ClassBudget},
-		{"memory", ntgd.ErrMemory, http.StatusInsufficientStorage, ClassMemory},
-		{"deadline", context.DeadlineExceeded, http.StatusGatewayTimeout, ClassTimeout},
-		{"cancel", context.Canceled, http.StatusGatewayTimeout, ClassTimeout},
-		{"admission", ntgd.ErrAdmission, http.StatusTooManyRequests, ClassAdmission},
+		{"budget", ntgd.ErrBudget, http.StatusUnprocessableEntity, ntgdapi.ClassBudget},
+		{"wall-clock is a budget", ntgd.ErrWallClock, http.StatusUnprocessableEntity, ntgdapi.ClassBudget},
+		{"wrapped budget", fmt.Errorf("run: %w", ntgd.ErrBudget), http.StatusUnprocessableEntity, ntgdapi.ClassBudget},
+		{"memory", ntgd.ErrMemory, http.StatusInsufficientStorage, ntgdapi.ClassMemory},
+		{"deadline", context.DeadlineExceeded, http.StatusGatewayTimeout, ntgdapi.ClassTimeout},
+		{"cancel", context.Canceled, http.StatusGatewayTimeout, ntgdapi.ClassTimeout},
+		{"admission", ntgd.ErrAdmission, http.StatusTooManyRequests, ntgdapi.ClassAdmission},
 		{
 			// The real shape: the gate refusal wraps the context cause,
 			// and admission must win over the timeout class.
 			"admission carrying context cause",
 			fmt.Errorf("%w: %w", ntgd.ErrAdmission, context.DeadlineExceeded),
-			http.StatusTooManyRequests, ClassAdmission,
+			http.StatusTooManyRequests, ntgdapi.ClassAdmission,
 		},
-		{"internal", ntgd.ErrInternal, http.StatusInternalServerError, ClassInternal},
+		{"internal", ntgd.ErrInternal, http.StatusInternalServerError, ntgdapi.ClassInternal},
 		{
 			// Error priority internal > context (PR 7).
 			"internal wins over cancel",
 			fmt.Errorf("%w after %w", ntgd.ErrInternal, context.Canceled),
-			http.StatusInternalServerError, ClassInternal,
+			http.StatusInternalServerError, ntgdapi.ClassInternal,
 		},
-		{"unclassified", errors.New("boom"), http.StatusInternalServerError, ClassError},
+		{"unclassified", errors.New("boom"), http.StatusInternalServerError, ntgdapi.ClassError},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -424,7 +425,7 @@ func TestServerDrain(t *testing.T) {
 	if code := post(t, hs.URL, "/v1/solve", Request{Program: subsetSrc}, &errRes); code != http.StatusServiceUnavailable {
 		t.Fatalf("solve during drain: %d, want 503", code)
 	}
-	if errRes.Class != ClassDraining {
+	if errRes.Class != ntgdapi.ClassDraining {
 		t.Fatalf("class = %q, want draining", errRes.Class)
 	}
 }
@@ -454,8 +455,8 @@ func TestServerStatz(t *testing.T) {
 	if stz.Requests["solve"] != 2 {
 		t.Errorf("requests[solve] = %d, want 2", stz.Requests["solve"])
 	}
-	if stz.Errors[ClassBadRequest] != 1 {
-		t.Errorf("errors[bad_request] = %d, want 1", stz.Errors[ClassBadRequest])
+	if stz.Errors[ntgdapi.ClassBadRequest] != 1 {
+		t.Errorf("errors[bad_request] = %d, want 1", stz.Errors[ntgdapi.ClassBadRequest])
 	}
 	if stz.Engine.Nodes == 0 {
 		t.Error("engine.nodes = 0 after a full solve")

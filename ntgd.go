@@ -1,7 +1,6 @@
 package ntgd
 
 import (
-	"context"
 	"fmt"
 
 	"ntgd/internal/chase"
@@ -158,91 +157,6 @@ func (m Mode) String() string {
 		return "brave"
 	}
 	return "cautious"
-}
-
-// StableModels enumerates the stable models of the program under the
-// SO semantics. Use StableModelsUnder to select a different
-// semantics.
-//
-// Deprecated: use Compile and Solver.Models, which compile the program
-// once, stream the models, and support cancellation. This wrapper
-// compiles a fresh Solver per call.
-func StableModels(p *Program, opt Options) (*Result, error) {
-	return StableModelsUnder(p, SO, opt)
-}
-
-// StableModelsUnder enumerates stable models under the chosen
-// semantics. On budget exhaustion the partial Result is returned
-// alongside ErrBudget.
-//
-// Deprecated: use Compile and Solver.Models, which compile the program
-// once, stream the models, and support cancellation. This wrapper
-// compiles a fresh Solver per call.
-func StableModelsUnder(p *Program, sem Semantics, opt Options) (*Result, error) {
-	s, err := Compile(p, CompileOptions{Semantics: sem, Options: opt})
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{}
-	for m, err := range s.Models(context.Background()) {
-		if err != nil {
-			res.Stats = s.Stats()
-			res.Exhausted = s.Exhausted()
-			return res, err
-		}
-		res.Models = append(res.Models, m)
-	}
-	res.Stats = s.Stats()
-	res.Exhausted = s.Exhausted()
-	return res, nil
-}
-
-// Entails answers a Boolean query under the SO semantics.
-//
-// Deprecated: use Compile and Solver.Entails, which compile the
-// program once per Solver and support cancellation. This wrapper
-// compiles a fresh Solver per call.
-func Entails(p *Program, q Query, mode Mode, opt Options) (QAResult, error) {
-	return EntailsUnder(p, q, mode, SO, opt)
-}
-
-// EntailsUnder answers a Boolean query under the chosen semantics and
-// reasoning mode.
-//
-// Deprecated: use Compile and Solver.Entails, which compile the
-// program once per Solver and support cancellation. This wrapper
-// compiles a fresh Solver per call.
-func EntailsUnder(p *Program, q Query, mode Mode, sem Semantics, opt Options) (QAResult, error) {
-	s, err := Compile(p, CompileOptions{Semantics: sem, Options: opt})
-	if err != nil {
-		return QAResult{}, err
-	}
-	return s.Entails(context.Background(), q, mode)
-}
-
-// Answers computes the certain (Cautious) or possible (Brave) answers
-// of an n-ary query under the SO semantics. Use AnswersUnder to select
-// a different semantics.
-//
-// Deprecated: use Compile and Solver.Answers, which compile the
-// program once per Solver and support cancellation. This wrapper
-// compiles a fresh Solver per call.
-func Answers(p *Program, q Query, mode Mode, opt Options) ([]AnswerTuple, bool, error) {
-	return AnswersUnder(p, q, mode, SO, opt)
-}
-
-// AnswersUnder computes the certain (Cautious) or possible (Brave)
-// answers of an n-ary query under the chosen semantics.
-//
-// Deprecated: use Compile and Solver.Answers, which compile the
-// program once per Solver and support cancellation. This wrapper
-// compiles a fresh Solver per call.
-func AnswersUnder(p *Program, q Query, mode Mode, sem Semantics, opt Options) ([]AnswerTuple, bool, error) {
-	s, err := Compile(p, CompileOptions{Semantics: sem, Options: opt})
-	if err != nil {
-		return nil, false, err
-	}
-	return s.Answers(context.Background(), q, mode)
 }
 
 // IsStableModel checks Definition 1 for a candidate interpretation

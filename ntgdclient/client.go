@@ -21,8 +21,12 @@
 // Failures surface as *APIError carrying the HTTP status, taxonomy
 // class, the server's partial Stats, and the attempt count.
 //
+// Requests and responses are the ntgdapi types, the same declarations
+// the daemon encodes; this package adds only transport and retries, and
+// like ntgdapi it imports nothing but the standard library.
+//
 //	c := ntgdclient.New("http://127.0.0.1:8377")
-//	res, err := c.Solve(ctx, ntgdclient.Request{Program: "p :- not q."})
+//	res, err := c.Solve(ctx, ntgdapi.Request{Program: "p :- not q."})
 package ntgdclient
 
 import (
@@ -37,6 +41,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"ntgd/ntgdapi"
 )
 
 // RetryPolicy bounds the client's retry behavior. The zero value is
@@ -93,7 +99,7 @@ type APIError struct {
 	// RetryAfter is the server's backoff hint (0 when absent).
 	RetryAfter time.Duration
 	// Stats is the partial effort of the final attempt's run.
-	Stats Stats
+	Stats ntgdapi.Stats
 	// Exhausted mirrors the error body's flag.
 	Exhausted bool
 	// Attempts is how many times the request was sent.
@@ -182,40 +188,40 @@ func New(baseURL string, opts ...Option) *Client {
 }
 
 // Solve enumerates stable models.
-func (c *Client) Solve(ctx context.Context, req Request) (*SolveResponse, error) {
-	out := &SolveResponse{}
+func (c *Client) Solve(ctx context.Context, req ntgdapi.Request) (*ntgdapi.SolveResponse, error) {
+	out := &ntgdapi.SolveResponse{}
 	return out, c.post(ctx, "/v1/solve", req, out)
 }
 
 // Entails answers one Boolean query.
-func (c *Client) Entails(ctx context.Context, req Request) (*EntailsResponse, error) {
-	out := &EntailsResponse{}
+func (c *Client) Entails(ctx context.Context, req ntgdapi.Request) (*ntgdapi.EntailsResponse, error) {
+	out := &ntgdapi.EntailsResponse{}
 	return out, c.post(ctx, "/v1/entails", req, out)
 }
 
 // Answers answers one n-ary query.
-func (c *Client) Answers(ctx context.Context, req Request) (*AnswersResponse, error) {
-	out := &AnswersResponse{}
+func (c *Client) Answers(ctx context.Context, req ntgdapi.Request) (*ntgdapi.AnswersResponse, error) {
+	out := &ntgdapi.AnswersResponse{}
 	return out, c.post(ctx, "/v1/answers", req, out)
 }
 
 // Consistent checks consistency.
-func (c *Client) Consistent(ctx context.Context, req Request) (*ConsistentResponse, error) {
-	out := &ConsistentResponse{}
+func (c *Client) Consistent(ctx context.Context, req ntgdapi.Request) (*ntgdapi.ConsistentResponse, error) {
+	out := &ntgdapi.ConsistentResponse{}
 	return out, c.post(ctx, "/v1/consistent", req, out)
 }
 
 // Batch runs many queries against one compiled program.
-func (c *Client) Batch(ctx context.Context, req Request) (*BatchResponse, error) {
-	out := &BatchResponse{}
+func (c *Client) Batch(ctx context.Context, req ntgdapi.Request) (*ntgdapi.BatchResponse, error) {
+	out := &ntgdapi.BatchResponse{}
 	return out, c.post(ctx, "/v1/batch", req, out)
 }
 
 // UploadDB uploads a fact base and returns its content-addressed
 // handle for later Requests' DB field.
-func (c *Client) UploadDB(ctx context.Context, facts string) (*DBResponse, error) {
-	out := &DBResponse{}
-	return out, c.post(ctx, "/v1/db", Request{Facts: facts}, out)
+func (c *Client) UploadDB(ctx context.Context, facts string) (*ntgdapi.DBResponse, error) {
+	out := &ntgdapi.DBResponse{}
+	return out, c.post(ctx, "/v1/db", ntgdapi.Request{Facts: facts}, out)
 }
 
 // post is the retry loop every endpoint shares.
@@ -289,7 +295,7 @@ func (c *Client) once(ctx context.Context, path string, body []byte, out any) *A
 		return nil
 	}
 	apiErr := &APIError{Status: resp.StatusCode}
-	var eresp errorResponse
+	var eresp ntgdapi.ErrorResponse
 	if err := json.NewDecoder(resp.Body).Decode(&eresp); err == nil {
 		apiErr.Class = eresp.Class
 		apiErr.Message = eresp.Error

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"ntgd/ntgdapi"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -27,7 +28,7 @@ func shedServer(t *testing.T, refusals *atomic.Int64, status int, retryAfterMS i
 			})
 			return
 		}
-		_ = json.NewEncoder(w).Encode(SolveResponse{Models: []string{"p"}, Count: 1})
+		_ = json.NewEncoder(w).Encode(ntgdapi.SolveResponse{Models: []string{"p"}, Count: 1})
 	}))
 }
 
@@ -71,7 +72,7 @@ func TestRetryPolicyByStatus(t *testing.T) {
 			defer srv.Close()
 			clock, _ := instantClock(0.5)
 			c := New(srv.URL, clock, WithRetryPolicy(RetryPolicy{MaxAttempts: 3}))
-			_, err := c.Solve(context.Background(), Request{Program: "p :- not q."})
+			_, err := c.Solve(context.Background(), ntgdapi.Request{Program: "p :- not q."})
 			ae, ok := AsAPIError(err)
 			if !ok {
 				t.Fatalf("err = %v, want *APIError", err)
@@ -103,7 +104,7 @@ func TestRetrySucceedsAfterShed(t *testing.T) {
 	defer srv.Close()
 	clock, slept := instantClock(0) // jitter 0: sleep is exactly the hint
 	c := New(srv.URL, clock)
-	res, err := c.Solve(context.Background(), Request{Program: "p :- not q."})
+	res, err := c.Solve(context.Background(), ntgdapi.Request{Program: "p :- not q."})
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
@@ -133,7 +134,7 @@ func TestRetryAfterHeaderFallback(t *testing.T) {
 	defer srv.Close()
 	clock, slept := instantClock(0)
 	c := New(srv.URL, clock, WithRetryPolicy(RetryPolicy{MaxAttempts: 2, Budget: -1}))
-	_, err := c.Solve(context.Background(), Request{Program: "p :- not q."})
+	_, err := c.Solve(context.Background(), ntgdapi.Request{Program: "p :- not q."})
 	if ae, ok := AsAPIError(err); !ok || ae.RetryAfter != 2*time.Second {
 		t.Fatalf("err = %v, want APIError with 2s RetryAfter from the header", err)
 	}
@@ -187,7 +188,7 @@ func TestRetryBudget(t *testing.T) {
 	defer srv.Close()
 	clock, slept := instantClock(1)
 	c := New(srv.URL, clock, WithRetryPolicy(RetryPolicy{MaxAttempts: 10, Budget: time.Second}))
-	_, err := c.Solve(context.Background(), Request{Program: "p :- not q."})
+	_, err := c.Solve(context.Background(), ntgdapi.Request{Program: "p :- not q."})
 	ae, ok := AsAPIError(err)
 	if !ok || ae.Status != http.StatusTooManyRequests {
 		t.Fatalf("err = %v, want the 429", err)
@@ -214,7 +215,7 @@ func TestNoRetryAfterCallerDeadline(t *testing.T) {
 	c := New(srv.URL, clock, WithRetryPolicy(RetryPolicy{MaxAttempts: 5, Budget: -1}))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := c.Solve(ctx, Request{Program: "p :- not q."})
+	_, err := c.Solve(ctx, ntgdapi.Request{Program: "p :- not q."})
 	if err == nil {
 		t.Fatal("want an error")
 	}
@@ -229,7 +230,7 @@ func TestTransportErrorsRetryThenSurface(t *testing.T) {
 	srv.Close()
 	clock, slept := instantClock(0.5)
 	c := New(srv.URL, clock, WithRetryPolicy(RetryPolicy{MaxAttempts: 3, Budget: -1}))
-	_, err := c.Solve(context.Background(), Request{Program: "p :- not q."})
+	_, err := c.Solve(context.Background(), ntgdapi.Request{Program: "p :- not q."})
 	ae, ok := AsAPIError(err)
 	if !ok || ae.Status != 0 {
 		t.Fatalf("err = %v, want a status-0 transport APIError", err)
@@ -241,22 +242,22 @@ func TestTransportErrorsRetryThenSurface(t *testing.T) {
 
 func TestEndpointsRoundTrip(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		var req Request
+		var req ntgdapi.Request
 		_ = json.NewDecoder(r.Body).Decode(&req)
 		switch r.URL.Path {
 		case "/v1/entails":
-			_ = json.NewEncoder(w).Encode(EntailsResponse{Entailed: true, Witness: "p"})
+			_ = json.NewEncoder(w).Encode(ntgdapi.EntailsResponse{Entailed: true, Witness: "p"})
 		case "/v1/answers":
-			_ = json.NewEncoder(w).Encode(AnswersResponse{Tuples: [][]string{{"a"}}, Complete: true})
+			_ = json.NewEncoder(w).Encode(ntgdapi.AnswersResponse{Tuples: [][]string{{"a"}}, Complete: true})
 		case "/v1/consistent":
-			_ = json.NewEncoder(w).Encode(ConsistentResponse{Consistent: true})
+			_ = json.NewEncoder(w).Encode(ntgdapi.ConsistentResponse{Consistent: true})
 		case "/v1/db":
 			if req.Facts == "" {
 				t.Error("db upload lost the facts field")
 			}
-			_ = json.NewEncoder(w).Encode(DBResponse{Handle: "h", Facts: 2})
+			_ = json.NewEncoder(w).Encode(ntgdapi.DBResponse{Handle: "h", Facts: 2})
 		case "/v1/batch":
-			_ = json.NewEncoder(w).Encode(BatchResponse{Results: make([]BatchResult, len(req.Queries))})
+			_ = json.NewEncoder(w).Encode(ntgdapi.BatchResponse{Results: make([]ntgdapi.BatchResult, len(req.Queries))})
 		default:
 			t.Errorf("unexpected path %s", r.URL.Path)
 		}
@@ -264,19 +265,19 @@ func TestEndpointsRoundTrip(t *testing.T) {
 	defer srv.Close()
 	c := New(srv.URL)
 	ctx := context.Background()
-	if res, err := c.Entails(ctx, Request{Program: "p.", Query: "?- p."}); err != nil || !res.Entailed {
+	if res, err := c.Entails(ctx, ntgdapi.Request{Program: "p.", Query: "?- p."}); err != nil || !res.Entailed {
 		t.Fatalf("Entails = %+v, %v", res, err)
 	}
-	if res, err := c.Answers(ctx, Request{Program: "p(a).", Query: "?-[X] p(X)."}); err != nil || len(res.Tuples) != 1 {
+	if res, err := c.Answers(ctx, ntgdapi.Request{Program: "p(a).", Query: "?-[X] p(X)."}); err != nil || len(res.Tuples) != 1 {
 		t.Fatalf("Answers = %+v, %v", res, err)
 	}
-	if res, err := c.Consistent(ctx, Request{Program: "p."}); err != nil || !res.Consistent {
+	if res, err := c.Consistent(ctx, ntgdapi.Request{Program: "p."}); err != nil || !res.Consistent {
 		t.Fatalf("Consistent = %+v, %v", res, err)
 	}
 	if res, err := c.UploadDB(ctx, "p(a). p(b)."); err != nil || res.Handle != "h" {
 		t.Fatalf("UploadDB = %+v, %v", res, err)
 	}
-	if res, err := c.Batch(ctx, Request{Program: "p.", Queries: []BatchItem{{Query: "?- p."}, {Query: "?- q."}}}); err != nil || len(res.Results) != 2 {
+	if res, err := c.Batch(ctx, ntgdapi.Request{Program: "p.", Queries: []ntgdapi.BatchItem{{Query: "?- p."}, {Query: "?- q."}}}); err != nil || len(res.Results) != 2 {
 		t.Fatalf("Batch = %+v, %v", res, err)
 	}
 }
